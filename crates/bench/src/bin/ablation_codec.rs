@@ -1,6 +1,6 @@
 //! Ablation A11: the zero-copy wire codec.
 //!
-//! Three measurements, one per codec optimisation:
+//! Two measurements, one per codec optimisation:
 //!
 //! 1. **Wall-clock seal/open throughput** — the seed codec (bitwise CRC32,
 //!    body copied into a fresh `Vec` on seal and again on open) against the
@@ -11,14 +11,10 @@
 //!    measures the fresh-`Vec` encode path against the reusable
 //!    [`EncodeBuf`] arena, and asserts the seal/open cycle of a 4 MiB
 //!    block allocates nowhere near the payload size (zero bulk copies).
-//! 3. **Virtual-time delta of coalesced control messages** — the same
-//!    streamed QR run as `ablation_async`, with `ctrl_batch` off (the
-//!    pinned default) and on. Daemon-served requests must be identical:
-//!    batching coalesces *responses*, never requests.
 //!
-//! Wall-clock numbers are hardware-dependent and are **not** pinned in
-//! `results/baselines.json`; the deterministic metrics (allocations per
-//! message, request counts, virtual req/s) are.
+//! Wall-clock numbers are hardware-dependent: they go to stdout only, so
+//! `results/ablation_codec.json` holds just the deterministic allocation
+//! and heap-byte counts (two runs write byte-identical JSON).
 //!
 //! Set `DACC_SMOKE=1` for a reduced run (CI smoke).
 
@@ -27,12 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use dacc_bench::json::{write_results, Json};
-use dacc_bench::linalg_runs::{run_factorization_detailed, DetailedRun, Routine};
-use dacc_bench::table::print_table;
 use dacc_fabric::codec::EncodeBuf;
 use dacc_fabric::payload::Payload;
-use dacc_linalg::hybrid::HybridConfig;
-use dacc_runtime::prelude::FrontendConfig;
 use dacc_runtime::proto::{crc32, open_block, seal_block, Request, WireProtocol};
 
 // ---------------------------------------------------------------------------
@@ -243,69 +235,6 @@ fn main() {
         bulk.len()
     );
 
-    // -- 3. Virtual time: coalesced control messages on the QR hot path. ---
-    let sizes: Vec<usize> = dacc_bench::smoke_truncate(vec![1024, 2048], 1);
-    let hybrid = HybridConfig {
-        streams: true,
-        ..HybridConfig::default()
-    };
-    let run = |ctrl_batch: bool, n: usize| -> DetailedRun {
-        let frontend = FrontendConfig {
-            ctrl_batch,
-            ..FrontendConfig::default()
-        };
-        run_factorization_detailed(Routine::Qr, 1, n, frontend, hybrid)
-    };
-
-    let xs: Vec<String> = sizes.iter().map(|n| n.to_string()).collect();
-    let mut gflops_series: Vec<(&str, Vec<f64>)> = Vec::new();
-    let mut case_rows = Vec::new();
-    let mut reqs_per_s_batched = Vec::new();
-    for (label, ctrl_batch) in [("ctrl_batch off", false), ("ctrl_batch on", true)] {
-        let mut gflops = Vec::new();
-        let mut rows = Vec::new();
-        for &n in &sizes {
-            let r = run(ctrl_batch, n);
-            let requests: u64 = r.stats.iter().map(|s| s.requests).sum();
-            let reqs_per_s = requests as f64 / r.elapsed.as_secs_f64();
-            gflops.push(r.gflops);
-            if ctrl_batch {
-                reqs_per_s_batched.push(reqs_per_s);
-            }
-            rows.push(Json::obj([
-                ("n", Json::from(n)),
-                ("gflops", Json::from(r.gflops)),
-                ("elapsed_s", Json::from(r.elapsed.as_secs_f64())),
-                ("requests", Json::from(requests)),
-                ("reqs_per_s", Json::from(reqs_per_s)),
-            ]));
-        }
-        gflops_series.push((label, gflops));
-        case_rows.push(Json::obj([
-            ("case", Json::from(label)),
-            ("runs", Json::Arr(rows)),
-        ]));
-    }
-
-    println!();
-    print_table(
-        "Streamed QR throughput [GFlop/s]",
-        "N of NxN matrix",
-        &xs,
-        &gflops_series,
-    );
-    for (i, n) in sizes.iter().enumerate() {
-        let off = gflops_series[0].1[i];
-        let on = gflops_series[1].1[i];
-        let delta_pct = (on / off - 1.0) * 100.0;
-        println!("  N={n}: ctrl_batch virtual-time delta {delta_pct:+.3}%");
-        assert!(
-            on >= off * 0.90,
-            "ctrl batching must not cost >10% virtual throughput at N={n} \
-             (off {off:.2}, on {on:.2} GFlop/s)"
-        );
-    }
-
     write_results(
         "ablation_codec",
         &Json::obj([
@@ -313,19 +242,9 @@ fn main() {
                 "title",
                 Json::from("Ablation: zero-copy wire codec (seed vs shipped hot path)"),
             ),
-            ("crc_seed_gibs", Json::from(crc_seed_gibs)),
-            ("crc_new_gibs", Json::from(crc_new_gibs)),
-            ("crc_speedup", Json::from(crc_speedup)),
-            ("cycle_seed_gibs", Json::from(cycle_seed_gibs)),
-            ("cycle_new_gibs", Json::from(cycle_new_gibs)),
-            ("cycle_speedup", Json::from(cycle_speedup)),
             ("encode_allocs_per_msg_naive", Json::from(naive_per_msg)),
             ("encode_allocs_per_msg_arena", Json::from(arena_per_msg)),
             ("seal_open_4mib_heap_bytes", Json::from(seal_open_bytes)),
-            ("sizes", Json::from(sizes.clone())),
-            ("cases", Json::Arr(case_rows)),
-            ("reqs_per_s_batched", Json::from(reqs_per_s_batched)),
         ]),
     );
-    dacc_bench::telem::write_metrics("ablation_codec");
 }

@@ -279,14 +279,6 @@ pub struct FrontendConfig {
     /// tail instead of the job's whole history. `None` (the default) keeps
     /// the full log — the pre-checkpoint behaviour.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Ask daemons to coalesce small control messages (responses, stream
-    /// acks) destined for this front-end into
-    /// [`ControlBatch`](crate::proto::ControlBatch) frames when several
-    /// are pending in the same scheduling window. Transparent to the API —
-    /// the fabric unbundles entries back onto their own tags — but it
-    /// changes *message counts*, so it is off by default to keep archived
-    /// virtual-time results pinned.
-    pub ctrl_batch: bool,
     /// Overload-robustness plane: per-op deadlines, retry budgets, and a
     /// per-accelerator circuit breaker. `None` (the default) disables all
     /// three — wire traffic, retry pacing, and archived virtual-time
@@ -303,7 +295,6 @@ impl Default for FrontendConfig {
             retry: None,
             fused_launch: true,
             checkpoint: None,
-            ctrl_batch: false,
             overload: None,
         }
     }

@@ -26,7 +26,6 @@ use dacc_vgpu::params::{ExecMode, GpuParams};
 use crate::api::{AcDevice, AcError, FrontendConfig, RemoteAccelerator};
 use crate::daemon::{run_daemon_health, DaemonConfig, DaemonHealth, DaemonStats};
 use crate::failover::FailoverSession;
-use crate::proto::{ac_tags, ControlBatch};
 
 /// Everything needed to stand up a cluster.
 #[derive(Clone, Copy, Debug)]
@@ -222,21 +221,6 @@ pub fn build_cluster_chaos(
     fault: Option<Arc<dyn FaultHook>>,
 ) -> Cluster {
     let h = sim.handle();
-    // A dropped/corrupt ControlBatch discards up to CTRL_BATCH_MAX
-    // responses wholesale; without a retry plane nothing replays them and
-    // the front-end hangs awaiting its response. Flag the combination
-    // rather than silently wedging a chaos run.
-    if fault.is_some()
-        && (spec.daemon.ctrl_batch || spec.frontend.ctrl_batch)
-        && spec.frontend.retry.is_none()
-        && spec.daemon.data_timeout.is_none()
-    {
-        tracer.record(&h, "config.warn", || {
-            "ctrl_batch under fault injection without a retry policy or data_timeout: \
-             a dropped ControlBatch loses its responses permanently"
-                .to_string()
-        });
-    }
     let n_standby = spec.arm_ha.map_or(0, |h| h.standbys);
     let total_nodes = 1 + spec.compute_nodes + spec.accelerators + n_standby;
     let topo = Topology::with_spec(&h, total_nodes, spec.fabric, spec.topology);
@@ -248,34 +232,6 @@ pub fn build_cluster_chaos(
     // unchanged.
     let hop_matrix = topo.hop_matrix();
     let fabric = Fabric::new(&h, topo);
-
-    // Control-batch unbundler: a daemon with `ctrl_batch` on packs several
-    // responses/stream-acks for one peer into a single CTRL-tagged fabric
-    // message; the fabric splits it back into per-tag envelopes on
-    // delivery, so receivers never see the difference. A batch that fails
-    // its CRC (or decode) is dropped whole, exactly like a lost message —
-    // sender-side retry heals it. Installed unconditionally: with batching
-    // off (the default) no CTRL traffic exists and this is inert.
-    fabric.set_unbundler(
-        ac_tags::CTRL,
-        Arc::new(|p: &Payload| {
-            if !p.is_functional() {
-                // A size-only payload carries nothing to decode; treat it
-                // like a damaged batch (dropped whole) rather than
-                // panicking the dispatcher.
-                return None;
-            }
-            let buf = p.to_bytes();
-            let batch = ControlBatch::decode(&buf).ok()?;
-            Some(
-                batch
-                    .entries
-                    .into_iter()
-                    .map(|(tag, bytes)| (dacc_fabric::mpi::Tag(tag), Payload::from_bytes(bytes)))
-                    .collect(),
-            )
-        }),
-    );
 
     // Rank 0: ARM.
     let arm_ep = fabric.add_endpoint(NodeId(0));
@@ -306,10 +262,7 @@ pub fn build_cluster_chaos(
         daemon_nodes.push(node);
         let gpu = VirtualGpu::new(&h, "accel", spec.gpu, spec.mode, registry.clone());
         accel_gpus.push(gpu.clone());
-        let mut daemon_cfg = spec.daemon;
-        // The user-facing knob lives on FrontendConfig; either side of the
-        // spec may opt the daemons into control-message coalescing.
-        daemon_cfg.ctrl_batch |= spec.frontend.ctrl_batch;
+        let daemon_cfg = spec.daemon;
         let daemon_tracer = tracer.clone();
         let daemon_fault = fault.clone();
         let health = DaemonHealth::new();

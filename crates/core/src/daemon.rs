@@ -24,8 +24,8 @@ use dacc_vgpu::memory::{DevicePtr, MemError};
 use dacc_vgpu::pinned::PinnedPool;
 
 use crate::proto::{
-    ac_tags, open_block, seal_block, AnyRequest, ControlBatch, Request, Response, Status,
-    StreamAck, WireProtocol, CRC_TRAILER_BYTES, STREAM_VIRT_BASE,
+    ac_tags, open_block, seal_block, AnyRequest, Request, Response, Status, StreamAck,
+    WireProtocol, CRC_TRAILER_BYTES, STREAM_VIRT_BASE,
 };
 
 /// Daemon tuning parameters.
@@ -56,22 +56,6 @@ pub struct DaemonConfig {
     /// forever, which is correct on a lossless fabric; runs with injected
     /// message drops must set this or a lost block wedges the daemon.
     pub data_timeout: Option<SimDuration>,
-    /// Coalesce small control messages — terminal responses and stream
-    /// acks — bound for the same peer into one
-    /// [`ControlBatch`] frame when several are
-    /// staged in the same service window. Off by default: batching changes
-    /// fabric message counts, so archived virtual-time results stay
-    /// pinned unless a run opts in.
-    ///
-    /// Under fault injection, batching widens the blast radius of a
-    /// single drop/corrupt fault from one control message to a whole
-    /// batch (the fabric discards a damaged [`ControlBatch`] wholesale),
-    /// so runs that inject faults should only enable it together with a
-    /// front-end retry policy and [`DaemonConfig::data_timeout`] —
-    /// otherwise a front-end awaiting a discarded response hangs forever.
-    /// [`build_cluster_chaos`](crate::cluster::build_cluster_chaos)
-    /// traces a `config.warn` event when this combination is detected.
-    pub ctrl_batch: bool,
     /// Bounded-run-queue admission control (the overload plane). `None`
     /// (the default) keeps the legacy unbounded queue: every arrival is
     /// eventually served, message counts and ordering are untouched, and
@@ -117,7 +101,6 @@ impl Default for DaemonConfig {
             gpudirect: true,
             recv_prepost: 1,
             data_timeout: None,
-            ctrl_batch: false,
             admission: None,
         }
     }
@@ -388,25 +371,13 @@ pub async fn run_daemon_health(
     let mut sessions: HashMap<Rank, Session> = HashMap::new();
     // Last completed framed operation per front-end: (op_id, response).
     let mut completed: HashMap<Rank, (u64, Response)> = HashMap::new();
-    let mut coal = Coalescer::new(config.ctrl_batch);
+    let mut out = Replier::default();
     // Bounded run-queue (admission control only; empty and untouched on
     // the legacy path).
     let mut runq: std::collections::VecDeque<dacc_fabric::mpi::Envelope> =
         std::collections::VecDeque::new();
 
     loop {
-        // The batching window closes when the request queue goes idle:
-        // anything staged while requests kept arriving back-to-back is
-        // flushed (coalesced per peer) before the daemon blocks. Every
-        // staged message is owed to a peer that is *waiting* on it, but an
-        // empty queue only guarantees progress globally — one tenant's
-        // lone staged response must not wait behind another tenant's
-        // continuous stream, so `tick` additionally flushes any peer
-        // whose staging sat idle for a bounded number of windows.
-        coal.tick(&ep).await;
-        if coal.has_staged() && ep.iprobe(None, Some(ac_tags::REQUEST)).is_none() {
-            coal.flush_all(&ep).await;
-        }
         let env = match config.admission {
             None => ep.recv(None, Some(ac_tags::REQUEST)).await,
             Some(adm) => {
@@ -475,7 +446,7 @@ pub async fn run_daemon_health(
                         tracer.record(&handle, "daemon.shed", || {
                             format!("{me} sheds request from {src} (queue over {cap})")
                         });
-                        coal.respond_now(
+                        out.send(
                             &ep,
                             src,
                             tag,
@@ -573,7 +544,7 @@ pub async fn run_daemon_health(
                             status: Status::StaleEpoch,
                             value: 0,
                         };
-                        coal.ack(&ep, cn, ac_tags::stream_ack_tag(batch.stream), ack)
+                        out.send(&ep, cn, ac_tags::stream_ack_tag(batch.stream), ack)
                             .await;
                         continue;
                     }
@@ -636,13 +607,13 @@ pub async fn run_daemon_health(
                             format!("StreamAck seq {ack_seq} to {cn}")
                         })
                         .op(ack_seq);
-                    coal.ack(&ep, cn, ac_tags::stream_ack_tag(batch.stream), ack)
+                    out.send(&ep, cn, ac_tags::stream_ack_tag(batch.stream), ack)
                         .await;
                     drop(ack_span);
                     continue;
                 }
                 _ => {
-                    coal.respond(&ep, cn, ac_tags::RESPONSE, Response::err(Status::Malformed))
+                    out.send(&ep, cn, ac_tags::RESPONSE, Response::err(Status::Malformed))
                         .await;
                     continue;
                 }
@@ -682,7 +653,7 @@ pub async fn run_daemon_health(
                 )
             });
             tele.count("daemon.fenced", 1);
-            coal.respond(&ep, cn, resp_tag, Response::err(Status::StaleEpoch))
+            out.send(&ep, cn, resp_tag, Response::err(Status::StaleEpoch))
                 .await;
             continue;
         }
@@ -700,7 +671,7 @@ pub async fn run_daemon_health(
                     tele.instant(&handle, "daemon.dedupe", || {
                         format!("replay op {op_id} attempt {attempt} from {cn}")
                     });
-                    coal.respond(&ep, cn, resp_tag, *last_resp).await;
+                    out.send(&ep, cn, resp_tag, *last_resp).await;
                     continue;
                 }
             }
@@ -740,16 +711,16 @@ pub async fn run_daemon_health(
                     };
                     match valid {
                         Err(st) => {
-                            coal.respond(&ep, cn, resp_tag, Response::err(st)).await;
+                            out.send(&ep, cn, resp_tag, Response::err(st)).await;
                         }
                         Ok(_) if !block_ok => {
-                            coal.respond(&ep, cn, resp_tag, Response::err(Status::Malformed))
+                            out.send(&ep, cn, resp_tag, Response::err(Status::Malformed))
                                 .await;
                         }
                         Ok(real) => {
                             // Pre-data response: the front-end awaits it
-                            // before its data phase — never stage it.
-                            coal.respond_now(&ep, cn, resp_tag, Response::ok()).await;
+                            // before its data phase.
+                            out.send(&ep, cn, resp_tag, Response::ok()).await;
                             stream_d2h(
                                 &handle, &ep, &gpu, &pool, &config, &mut stats, cn, real, len,
                                 protocol, data_tag,
@@ -794,15 +765,15 @@ pub async fn run_daemon_health(
                         .all(|(_, len)| protocol.block_size(*len) <= config.pinned_buffer);
                     match err {
                         Some(st) => {
-                            coal.respond(&ep, cn, resp_tag, Response::err(st)).await;
+                            out.send(&ep, cn, resp_tag, Response::err(st)).await;
                         }
                         None if !block_ok => {
-                            coal.respond(&ep, cn, resp_tag, Response::err(Status::Malformed))
+                            out.send(&ep, cn, resp_tag, Response::err(Status::Malformed))
                                 .await;
                         }
                         None => {
                             // Pre-data response (see MemCpyD2H above).
-                            coal.respond_now(
+                            out.send(
                                 &ep,
                                 cn,
                                 resp_tag,
@@ -931,9 +902,7 @@ pub async fn run_daemon_health(
                 }
                 Request::Ping => Response::ok(),
                 Request::Shutdown => {
-                    // Nothing staged may outlive the daemon.
-                    coal.flush_all(&ep).await;
-                    coal.respond_now(&ep, cn, resp_tag, Response::ok()).await;
+                    out.send(&ep, cn, resp_tag, Response::ok()).await;
                     health.set_alive(false);
                     return stats;
                 }
@@ -952,7 +921,7 @@ pub async fn run_daemon_health(
                 format!("{:?} to {}", resp.status, cn)
             })
             .op(op_id);
-        coal.respond(&ep, cn, resp_tag, resp).await;
+        out.send(&ep, cn, resp_tag, resp).await;
         drop(ack_span);
     }
 }
@@ -1101,148 +1070,37 @@ async fn exec_batchable(
     }
 }
 
-/// Hard cap on entries staged per peer before a forced flush: keeps a
-/// coalesced frame comfortably eager-sized (nobody posts receives on the
-/// CTRL tag, so the unbundler only ever sees eager packets).
-const CTRL_BATCH_MAX: usize = 8;
-
-/// Service windows a peer's staging may sit idle (no new entries) before
-/// it is force-flushed. Bounds how long one tenant's lone response can be
-/// deferred while *other* tenants keep the request queue busy: a
-/// continuously-streaming front-end appends to its own staging every
-/// window and still batches up to [`CTRL_BATCH_MAX`], but a blocked peer
-/// stops appending and drains within this many serviced requests.
-const CTRL_STAGE_MAX_AGE: u64 = 2;
-
-/// Per-peer staged control entries plus the service window of the most
-/// recent append (for the staleness bound).
-struct Staged {
-    last_append: u64,
-    entries: Vec<(u32, Bytes)>,
+/// A control message the daemon sends back to a front-end.
+trait Reply {
+    fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes;
 }
 
-/// Outgoing control-message path: encodes responses and stream acks
-/// through one reusable arena, and — when `ctrl_batch` is on — stages
-/// those bound for the same peer so several can ride one
-/// [`ControlBatch`] fabric message.
-struct Coalescer {
-    enabled: bool,
+impl Reply for Response {
+    fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
+        Response::encode_into(self, buf)
+    }
+}
+
+impl Reply for StreamAck {
+    fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
+        StreamAck::encode_into(self, buf)
+    }
+}
+
+/// Outgoing control-message path: responses and stream acks are encoded
+/// through one reusable arena and each leaves as its own fabric message.
+#[derive(Default)]
+struct Replier {
     enc: EncodeBuf,
-    /// Service-window counter; advanced by [`Coalescer::tick`] once per
-    /// daemon loop iteration.
-    window: u64,
-    staged: HashMap<Rank, Staged>,
 }
 
-impl Coalescer {
-    fn new(enabled: bool) -> Self {
-        Coalescer {
-            enabled,
-            enc: EncodeBuf::new(),
-            window: 0,
-            staged: HashMap::new(),
-        }
-    }
-
-    /// Send a response: immediately when batching is off, staged otherwise.
-    async fn respond(&mut self, ep: &Endpoint, to: Rank, tag: Tag, resp: Response) {
-        let bytes = resp.encode_into(&mut self.enc);
-        ep.fabric()
-            .telemetry()
-            .count("wire.encode_bytes", bytes.len() as u64);
-        self.dispatch(ep, to, tag, bytes).await;
-    }
-
-    /// Send a response that must leave now even under batching (pre-data
-    /// responses the peer awaits before its data phase, shutdown acks).
-    async fn respond_now(&mut self, ep: &Endpoint, to: Rank, tag: Tag, resp: Response) {
-        let bytes = resp.encode_into(&mut self.enc);
+impl Replier {
+    async fn send(&mut self, ep: &Endpoint, to: Rank, tag: Tag, msg: impl Reply) {
+        let bytes = msg.encode_into(&mut self.enc);
         ep.fabric()
             .telemetry()
             .count("wire.encode_bytes", bytes.len() as u64);
         ep.send(to, tag, Payload::from_bytes(bytes)).await;
-    }
-
-    /// Send a stream ack: immediately when batching is off, staged otherwise.
-    async fn ack(&mut self, ep: &Endpoint, to: Rank, tag: Tag, ack: StreamAck) {
-        let bytes = ack.encode_into(&mut self.enc);
-        ep.fabric()
-            .telemetry()
-            .count("wire.encode_bytes", bytes.len() as u64);
-        self.dispatch(ep, to, tag, bytes).await;
-    }
-
-    async fn dispatch(&mut self, ep: &Endpoint, to: Rank, tag: Tag, bytes: Bytes) {
-        if !self.enabled {
-            ep.send(to, tag, Payload::from_bytes(bytes)).await;
-            return;
-        }
-        let window = self.window;
-        let staged = self.staged.entry(to).or_insert_with(|| Staged {
-            last_append: window,
-            entries: Vec::new(),
-        });
-        staged.last_append = window;
-        staged.entries.push((tag.0, bytes));
-        if staged.entries.len() >= CTRL_BATCH_MAX {
-            self.flush_peer(ep, to).await;
-        }
-    }
-
-    fn has_staged(&self) -> bool {
-        !self.staged.is_empty()
-    }
-
-    /// Close one service window: advance the window clock and flush any
-    /// peer whose staging has not grown for [`CTRL_STAGE_MAX_AGE`]
-    /// windows. Called once per daemon loop iteration so a staged entry
-    /// can never wait unboundedly behind other peers' traffic — the
-    /// queue-idle flush in the main loop only guarantees progress when
-    /// the *whole* queue drains.
-    async fn tick(&mut self, ep: &Endpoint) {
-        self.window += 1;
-        if self.staged.is_empty() {
-            return;
-        }
-        let mut stale: Vec<Rank> = self
-            .staged
-            .iter()
-            .filter(|(_, s)| self.window - s.last_append >= CTRL_STAGE_MAX_AGE)
-            .map(|(r, _)| *r)
-            .collect();
-        stale.sort_unstable_by_key(|r| r.0); // deterministic flush order
-        for peer in stale {
-            self.flush_peer(ep, peer).await;
-        }
-    }
-
-    /// Flush everything staged — called when the request queue goes idle
-    /// (the batching window closes) and before daemon shutdown.
-    async fn flush_all(&mut self, ep: &Endpoint) {
-        let mut peers: Vec<Rank> = self.staged.keys().copied().collect();
-        peers.sort_unstable_by_key(|r| r.0); // deterministic flush order
-        for peer in peers {
-            self.flush_peer(ep, peer).await;
-        }
-    }
-
-    async fn flush_peer(&mut self, ep: &Endpoint, to: Rank) {
-        let Some(Staged { entries, .. }) = self.staged.remove(&to) else {
-            return;
-        };
-        if entries.len() == 1 {
-            // A lone message gains nothing from batching: send it on its
-            // own tag, byte-identical to the unbatched path.
-            let (tag, bytes) = entries.into_iter().next().expect("len checked");
-            ep.send(to, Tag(tag), Payload::from_bytes(bytes)).await;
-            return;
-        }
-        let tele = ep.fabric().telemetry();
-        tele.count("wire.ctrl_batched", entries.len() as u64);
-        let batch = ControlBatch { entries };
-        let bytes = batch.encode_into(&mut self.enc);
-        tele.count("wire.encode_bytes", bytes.len() as u64);
-        ep.send(to, ac_tags::CTRL, Payload::from_bytes(bytes)).await;
     }
 }
 

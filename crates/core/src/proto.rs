@@ -30,11 +30,6 @@ pub mod ac_tags {
     pub const DATA: Tag = Tag(0xFFFF_0022);
     /// Accelerator-to-accelerator data blocks.
     pub const PEER_DATA: Tag = Tag(0xFFFF_0023);
-    /// Coalesced control traffic: one [`ControlBatch`](super::ControlBatch)
-    /// frame carrying several small daemon → front-end messages (responses,
-    /// stream acks) for the same peer. The fabric's unbundler splits it back
-    /// into per-entry tags on arrival, so receivers never see this tag.
-    pub const CTRL: Tag = Tag(0xFFFF_0024);
 
     /// Response tag scoped to one `(op_id, attempt)` of a framed request.
     ///
@@ -1217,75 +1212,6 @@ impl Response {
     }
 }
 
-/// Marker byte distinguishing a [`ControlBatch`] from the other framed
-/// wire forms.
-pub const CTRL_MARKER: u8 = 0xFD;
-
-/// Several small control messages (responses, stream acks) for one peer,
-/// coalesced into a single fabric message on [`ac_tags::CTRL`].
-///
-/// Each entry carries the fabric tag its body would have been sent on
-/// individually; the receiving fabric's unbundler re-delivers every entry
-/// under its own tag, so clients are oblivious to batching. The frame is
-/// sealed like every other header, and the whole batch is dropped on a CRC
-/// mismatch — exactly the lost-message semantics the retry plane already
-/// handles. Batches must stay under the fabric's eager threshold: the
-/// unbundler only sees eager packets (nothing ever posts a receive on the
-/// CTRL tag, so a rendezvous would never complete).
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct ControlBatch {
-    /// `(tag, sealed body)` per coalesced message, in send order.
-    pub entries: Vec<(u32, Bytes)>,
-}
-
-impl ControlBatch {
-    /// Encode to fresh wire bytes (see [`ControlBatch::encode_into`]).
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_into(&mut EncodeBuf::new()).to_vec()
-    }
-
-    /// Encode into a reusable arena (marker, count, per entry the tag and
-    /// length-prefixed body, CRC32 trailer over the whole frame).
-    pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
-        let mut w = W(buf.buf());
-        w.u8(CTRL_MARKER);
-        w.u32(self.entries.len() as u32);
-        for (tag, body) in &self.entries {
-            w.u32(*tag);
-            w.bytes(body);
-        }
-        seal_take(buf)
-    }
-
-    /// Decode from wire bytes. Entry bodies are returned as zero-copy
-    /// slices of `buf`; a truncated, oversized, or damaged frame fails
-    /// whole with `DecodeError`.
-    pub fn decode(buf: &Bytes) -> Result<Self, DecodeError> {
-        let body = unseal(buf)?;
-        let mut r = R(body, 0);
-        if r.u8()? != CTRL_MARKER {
-            return Err(DecodeError);
-        }
-        let n = r.u32()? as usize;
-        // Cap the pre-allocation: a corrupt count fails on the first short
-        // read instead of reserving gigabytes.
-        let mut entries = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            let tag = r.u32()?;
-            let len = r.u32()? as usize;
-            let start = r.1;
-            let end = start.checked_add(len).ok_or(DecodeError)?;
-            if end > body.len() {
-                return Err(DecodeError);
-            }
-            r.1 = end;
-            entries.push((tag, buf.slice(start..end)));
-        }
-        r.finish()?;
-        Ok(ControlBatch { entries })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1621,7 +1547,6 @@ mod tests {
                         ac_tags::RESPONSE,
                         ac_tags::DATA,
                         ac_tags::PEER_DATA,
-                        ac_tags::CTRL,
                     ] {
                         assert_ne!(tag, base);
                     }
@@ -1832,86 +1757,6 @@ mod tests {
             let opened = open_block(&rechained).expect("split sealed block must verify");
             assert_eq!(opened.to_bytes().as_ref(), want.as_slice());
         }
-    }
-
-    #[test]
-    fn control_batches_roundtrip() {
-        let resp = Response {
-            status: Status::Ok,
-            value: 0xBEEF,
-        }
-        .encode();
-        let ack = StreamAck {
-            seq: 17,
-            status: Status::Ok,
-            value: 3,
-        }
-        .encode();
-        let batch = ControlBatch {
-            entries: vec![
-                (ac_tags::response_tag(9, 0).0, Bytes::from(resp.clone())),
-                (ac_tags::stream_ack_tag(4).0, Bytes::from(ack.clone())),
-            ],
-        };
-        let bytes = Bytes::from(batch.encode());
-        let back = ControlBatch::decode(&bytes).unwrap();
-        assert_eq!(back, batch);
-        // Entries decode as zero-copy slices of the incoming frame.
-        assert_eq!(back.entries[0].1.as_ref(), resp.as_slice());
-        assert_eq!(
-            Response::decode(&back.entries[0].1),
-            Ok(Response {
-                status: Status::Ok,
-                value: 0xBEEF,
-            })
-        );
-        assert_eq!(StreamAck::decode(&back.entries[1].1).unwrap().seq, 17);
-        // Empty batches are legal on the wire.
-        let empty = ControlBatch { entries: vec![] };
-        assert_eq!(
-            ControlBatch::decode(&Bytes::from(empty.encode())),
-            Ok(empty)
-        );
-    }
-
-    #[test]
-    fn damaged_control_batches_fail_cleanly() {
-        let batch = ControlBatch {
-            entries: vec![(7, Bytes::from(vec![1, 2, 3])), (8, Bytes::new())],
-        };
-        let bytes = batch.encode();
-        // Truncation at every length fails without panicking.
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                ControlBatch::decode(&Bytes::from(bytes[..cut].to_vec())),
-                Err(DecodeError),
-                "truncation at {cut}"
-            );
-        }
-        // Any flipped bit (marker, count, tag, length prefix, body,
-        // trailer) is caught by the frame CRC.
-        for i in 0..bytes.len() {
-            let mut v = bytes.clone();
-            v[i] ^= 0x04;
-            assert_eq!(
-                ControlBatch::decode(&Bytes::from(v)),
-                Err(DecodeError),
-                "flip at {i}"
-            );
-        }
-        // An oversized length prefix that still passes the CRC (re-sealed
-        // here to isolate the structural check) must fail, not panic.
-        let mut v = bytes[..bytes.len() - 4].to_vec();
-        v[9..13].copy_from_slice(&u32::MAX.to_le_bytes()); // first entry len
-        let resealed = {
-            let c = crc32(&v);
-            v.extend_from_slice(&c.to_le_bytes());
-            v
-        };
-        assert_eq!(
-            ControlBatch::decode(&Bytes::from(resealed)),
-            Err(DecodeError)
-        );
     }
 
     #[test]

@@ -707,6 +707,65 @@ fn stream_window_flow_control_bounds_inflight() {
 }
 
 #[test]
+fn lone_tenant_response_is_not_starved_by_streaming_peer() {
+    // Two front-ends share one daemon. Tenant A floods it with
+    // single-command stream frames; tenant B issues plain sequential
+    // request/response calls, so each of B's requests waits on its previous
+    // response. Both must finish with byte-exact readbacks.
+    use dacc_runtime::stream::StreamConfig;
+    let mut sim = Sim::new();
+    let registry = KernelRegistry::new();
+    register_builtin_kernels(&registry);
+    let spec = ClusterSpec {
+        compute_nodes: 2,
+        accelerators: 1,
+        mode: ExecMode::Functional,
+        gpu: GpuParams::tesla_c1060(),
+        ..ClusterSpec::default()
+    };
+    let mut cluster = build_cluster(&sim, spec, registry);
+    let mut eps = std::mem::take(&mut cluster.cn_endpoints);
+    let ep_b = eps.remove(1);
+    let ep_a = eps.remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let fe = FrontendConfig::default();
+
+    let a = sim.spawn("tenant-a", async move {
+        let dev = AcDevice::Remote(RemoteAccelerator::new(ep_a, daemon, fe));
+        let s = dev.stream(StreamConfig {
+            window: 64,
+            max_batch: 1,
+        });
+        let ptr = s.mem_alloc(4096).await.unwrap();
+        for i in 0..32u8 {
+            s.mem_set(ptr.offset(u64::from(i) * 128), 128, i.wrapping_mul(3))
+                .await
+                .unwrap();
+        }
+        s.synchronize().await.unwrap();
+        dev.mem_cpy_d2h(ptr, 4096).await.unwrap()
+    });
+    let b = sim.spawn("tenant-b", async move {
+        let dev = AcDevice::Remote(RemoteAccelerator::new(ep_b, daemon, fe));
+        let ptr = dev.mem_alloc(1024).await.unwrap();
+        for i in 0..8u8 {
+            dev.mem_set(ptr.offset(u64::from(i) * 128), 128, i.wrapping_add(1))
+                .await
+                .unwrap();
+        }
+        dev.mem_cpy_d2h(ptr, 1024).await.unwrap()
+    });
+    sim.run();
+
+    let want_a: Vec<u8> = (0..4096).map(|i| (i / 128) as u8 * 3).collect();
+    let back_a = a.try_take().expect("streaming tenant did not finish");
+    assert_eq!(back_a.expect_bytes().as_ref(), want_a.as_slice());
+    let want_b: Vec<u8> = (0..1024).map(|i| (i / 128) as u8 + 1).collect();
+    let back_b = b.try_take().expect("request/response tenant starved");
+    assert_eq!(back_b.expect_bytes().as_ref(), want_b.as_slice());
+}
+
+#[test]
 fn stream_over_retry_remote_uses_direct_mode() {
     // A retry-framed remote must not take the wire fast path (op-id dedupe
     // and replay assume one request per op) — but the stream API still

@@ -146,12 +146,6 @@ struct EndpointRecord {
     mailbox: Sender<Packet>,
 }
 
-/// A control-batch unbundler (see [`Fabric::set_unbundler`]): splits one
-/// delivered payload into `(tag, payload)` envelopes, or `None` when the
-/// payload fails its integrity check (the whole batch is then dropped, as
-/// if lost in flight — sender-side retry heals it).
-pub type Unbundler = Arc<dyn Fn(&Payload) -> Option<Vec<(Tag, Payload)>> + Send + Sync>;
-
 struct FabricInner {
     endpoints: Mutex<Vec<EndpointRecord>>,
     next_msg_id: AtomicU64,
@@ -159,10 +153,6 @@ struct FabricInner {
     // `is_enabled()` so the common detached case costs one atomic load.
     telemetry: Mutex<Telemetry>,
     telemetry_on: AtomicBool,
-    // Per-tag unbundlers, and a flag so the common empty case costs one
-    // atomic load in the dispatch loop.
-    unbundlers: Mutex<HashMap<u32, Unbundler>>,
-    unbundlers_on: AtomicBool,
 }
 
 /// The message-passing fabric: topology + endpoint registry.
@@ -183,8 +173,6 @@ impl Fabric {
                 next_msg_id: AtomicU64::new(0),
                 telemetry: Mutex::new(Telemetry::disabled()),
                 telemetry_on: AtomicBool::new(false),
-                unbundlers: Mutex::new(HashMap::new()),
-                unbundlers_on: AtomicBool::new(false),
             }),
             handle: handle.clone(),
         }
@@ -211,34 +199,6 @@ impl Fabric {
         // The topology records per-link traffic into the same handle.
         self.topo.set_telemetry(tele.clone());
         *self.inner.telemetry.lock() = tele;
-    }
-
-    /// Register `f` as the unbundler for messages arriving on `tag`: every
-    /// endpoint's dispatcher calls it on delivery and feeds the returned
-    /// `(tag, payload)` envelopes through normal matching (posted receives
-    /// first, then the unexpected queue), in order, as if each had been
-    /// sent individually from the same source. `f` returning `None` drops
-    /// the whole message — the integrity-check-failed case, equivalent to
-    /// losing it in flight.
-    ///
-    /// This is the receive half of small-control-message coalescing: a
-    /// sender packs several control frames for one peer into a single
-    /// fabric message on `tag`, halving per-message overheads, and the
-    /// receiver's protocol code never sees the difference. Batched
-    /// messages must stay **eager-sized** (below the fabric's rendezvous
-    /// threshold): nobody posts receives on the batch tag itself, so a
-    /// rendezvous handshake would never complete.
-    pub fn set_unbundler(&self, tag: Tag, f: Unbundler) {
-        let mut map = self.inner.unbundlers.lock();
-        map.insert(tag.0, f);
-        self.inner.unbundlers_on.store(true, Ordering::Release);
-    }
-
-    fn unbundler_for(&self, tag: Tag) -> Option<Unbundler> {
-        if !self.inner.unbundlers_on.load(Ordering::Acquire) {
-            return None;
-        }
-        self.inner.unbundlers.lock().get(&tag.0).cloned()
     }
 
     /// The attached telemetry handle, or a disabled one when nothing is
@@ -740,20 +700,16 @@ impl Endpoint {
         while let Ok(packet) = rx.recv().await {
             match packet {
                 Packet::Eager { src, tag, payload } => {
-                    if let Some(unbundle) = self.fabric.unbundler_for(tag) {
-                        match unbundle(&payload) {
-                            Some(entries) => {
-                                for (t, p) in entries {
-                                    self.deliver_eager(src, t, p);
-                                }
-                            }
-                            // Damaged batch: drop it whole, like a lost
-                            // message — sender-side retry heals it.
-                            None => self.fabric.telemetry().count("fabric.ctrl.dropped", 1),
-                        }
-                        continue;
+                    let posted = self.take_posted(src, tag);
+                    let env = Envelope { src, tag, payload };
+                    match posted {
+                        Some(p) => p.tx.send(env),
+                        None => self
+                            .state
+                            .lock()
+                            .unexpected
+                            .push_back(Unexpected::Eager(env)),
                     }
-                    self.deliver_eager(src, tag, payload);
                 }
                 Packet::Rts {
                     src,
@@ -804,21 +760,6 @@ impl Endpoint {
                     }
                 }
             }
-        }
-    }
-
-    /// Deliver one eager envelope through normal matching: a waiting
-    /// posted receive if any, else the unexpected queue.
-    fn deliver_eager(&self, src: Rank, tag: Tag, payload: Payload) {
-        let posted = self.take_posted(src, tag);
-        let env = Envelope { src, tag, payload };
-        match posted {
-            Some(p) => p.tx.send(env),
-            None => self
-                .state
-                .lock()
-                .unexpected
-                .push_back(Unexpected::Eager(env)),
         }
     }
 

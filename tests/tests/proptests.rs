@@ -131,38 +131,6 @@ proptest! {
         prop_assert_eq!(Request::decode(&req.encode()), Ok(req));
     }
 
-    /// Control batches round-trip for arbitrary entry sets through the
-    /// arena encoder, and any single-bit corruption of the sealed frame
-    /// is rejected as a [`DecodeError`] (never a panic).
-    #[test]
-    fn control_batch_roundtrip_and_rejects_corruption(
-        entries in proptest::collection::vec(
-            (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64)),
-            0..12,
-        ),
-        flip: u16,
-    ) {
-        use bytes::Bytes;
-        use dacc_fabric::codec::EncodeBuf;
-        use dacc_runtime::proto::ControlBatch;
-        let batch = ControlBatch {
-            entries: entries
-                .iter()
-                .map(|(tag, body)| (*tag, Bytes::from(body.clone())))
-                .collect(),
-        };
-        let mut enc = EncodeBuf::new();
-        let bytes = batch.encode_into(&mut enc);
-        let back = ControlBatch::decode(&bytes);
-        prop_assert_eq!(back, Ok(batch));
-        // A sealed frame is CRC-protected: flipping any one bit must be
-        // detected (CRC32 catches all single-bit errors).
-        let mut damaged = bytes.to_vec();
-        let pos = (flip as usize / 8) % damaged.len();
-        damaged[pos] ^= 1 << (flip % 8);
-        prop_assert!(ControlBatch::decode(&Bytes::from(damaged)).is_err());
-    }
-
     /// A chained (scatter-gather) payload is indistinguishable from its
     /// contiguous equivalent: length, arbitrary sub-slices, and
     /// seal/open across segment boundaries all agree byte-for-byte.
