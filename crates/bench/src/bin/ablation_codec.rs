@@ -4,9 +4,12 @@
 //!
 //! 1. **Wall-clock seal/open throughput** — the seed codec (bitwise CRC32,
 //!    body copied into a fresh `Vec` on seal and again on open) against the
-//!    shipped codec (table-driven slice-by-8 CRC, chained-segment trailer,
+//!    shipped codec (dispatching CRC — carry-less-multiply kernel where the
+//!    CPU has it, slice-by-8 tables otherwise — chained-segment trailer,
 //!    zero-copy open). The seed path is reproduced locally in [`seed`] so
-//!    the comparison survives the refactor that deleted it.
+//!    the comparison survives the refactor that deleted it. Both shipped
+//!    CRC paths are also timed on their own, and must agree with the
+//!    bitwise reference bit for bit.
 //! 2. **Allocations per control message** — a counting global allocator
 //!    measures the fresh-`Vec` encode path against the reusable
 //!    [`EncodeBuf`] arena, and asserts the seal/open cycle of a 4 MiB
@@ -25,7 +28,7 @@ use std::time::Instant;
 use dacc_bench::json::{write_results, Json};
 use dacc_fabric::codec::EncodeBuf;
 use dacc_fabric::payload::Payload;
-use dacc_runtime::proto::{crc32, open_block, seal_block, Request, WireProtocol};
+use dacc_runtime::proto::{crc32, open_block, seal_block, Crc32, Request, WireProtocol};
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every heap request in the process is tallied so the
@@ -75,7 +78,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
 
 mod seed {
     /// Bitwise (one bit per inner iteration) CRC-32, IEEE reflected
-    /// polynomial — identical output to the table-driven `proto::crc32`.
+    /// polynomial — identical output to `proto::crc32` on every path.
     pub fn crc32_bitwise(data: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &byte in data {
@@ -151,10 +154,42 @@ fn main() {
         acc ^= crc32(&body);
     }
     let crc_new_gibs = gib_per_s(total, t.elapsed().as_secs_f64());
+
+    // Each shipped path on its own: the portable tables always, the kernel
+    // only where this CPU can run it.
+    let t = Instant::now();
+    let mut table = Crc32::new();
+    for _ in 0..passes {
+        table = Crc32::new();
+        table.update_table(&body);
+    }
+    let crc_table_gibs = gib_per_s(total, t.elapsed().as_secs_f64());
+    let t = Instant::now();
+    let mut kernel = Crc32::new();
+    let mut kernel_ran = false;
+    for _ in 0..passes {
+        kernel = Crc32::new();
+        kernel_ran = kernel.update_clmul(&body);
+    }
+    let crc_kernel_gibs = gib_per_s(total, t.elapsed().as_secs_f64());
+
+    let reference = seed::crc32_bitwise(&body);
     assert_eq!(
-        seed::crc32_bitwise(&body),
+        table.finalize(),
+        reference,
+        "slice-by-8 CRC diverged from the bitwise reference"
+    );
+    if kernel_ran {
+        assert_eq!(
+            kernel.finalize(),
+            reference,
+            "carry-less-multiply CRC diverged from the bitwise reference"
+        );
+    }
+    assert_eq!(
         crc32(&body),
-        "table-driven CRC diverged from the bitwise reference"
+        reference,
+        "dispatching CRC diverged from the bitwise reference"
     );
 
     let t = Instant::now();
@@ -177,7 +212,14 @@ fn main() {
 
     let crc_speedup = crc_new_gibs / crc_seed_gibs;
     let cycle_speedup = cycle_new_gibs / cycle_seed_gibs;
-    println!("CRC32 throughput        : seed {crc_seed_gibs:.2} GiB/s, slice-by-8 {crc_new_gibs:.2} GiB/s ({crc_speedup:.1}x)");
+    let path = Crc32::long_input_path();
+    println!("CRC32 throughput        : seed {crc_seed_gibs:.2} GiB/s, {path} {crc_new_gibs:.2} GiB/s ({crc_speedup:.1}x)");
+    let kernel_gibs = if kernel_ran {
+        format!("{crc_kernel_gibs:.2} GiB/s")
+    } else {
+        "n/a on this CPU".to_string()
+    };
+    println!("  per path              : slice-by-8 {crc_table_gibs:.2} GiB/s, pclmulqdq fold-by-4 {kernel_gibs}");
     println!("seal+open cycle         : seed {cycle_seed_gibs:.2} GiB/s, zero-copy {cycle_new_gibs:.2} GiB/s ({cycle_speedup:.1}x)");
     assert!(
         cycle_speedup >= 5.0,

@@ -51,6 +51,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod api;
 pub mod cluster;

@@ -390,11 +390,20 @@ const fn generate_crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// Incremental CRC-32 state (IEEE 802.3, reflected polynomial 0xEDB88320),
-/// implemented locally to keep the workspace dependency-free. Table-driven
-/// slice-by-8: since PR 5 every bulk data block is sealed with a CRC
-/// trailer, so the checksum runs over every transferred byte — it has to
-/// keep up with the pipelined copy path, not just a few headers. The
-/// streaming state lets scatter-gathered payloads ([`Payload`] segment
+/// implemented locally to keep the workspace dependency-free. Every bulk
+/// data block is sealed with a CRC trailer, so the checksum runs over every
+/// transferred byte twice (seal and open) and has to keep up with the
+/// pipelined copy path, not just a few headers. [`Crc32::update`] therefore
+/// takes two paths that produce identical checksums:
+///
+/// * inputs of at least 128 bytes on an x86-64 CPU with PCLMULQDQ and
+///   SSE4.1 go through a carry-less-multiply fold-by-4 kernel
+///   ([`Crc32::update_clmul`]);
+/// * everything else — short inputs such as frame headers, the kernel's
+///   sub-16-byte tail, other architectures and older CPUs — goes through
+///   portable slice-by-8 tables ([`Crc32::update_table`]).
+///
+/// The streaming state lets scatter-gathered payloads ([`Payload`] segment
 /// chains) be checksummed segment by segment without reassembly.
 #[derive(Clone, Copy, Debug)]
 pub struct Crc32 {
@@ -407,8 +416,32 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `bytes` into the running checksum.
-    pub fn update(&mut self, mut bytes: &[u8]) {
+    /// Fold `bytes` into the running checksum through the fastest path
+    /// this CPU supports for their length.
+    pub fn update(&mut self, bytes: &[u8]) {
+        if !self.update_clmul(bytes) {
+            self.update_table(bytes);
+        }
+    }
+
+    /// Fold `bytes` through the carry-less-multiply kernel, with the
+    /// sub-16-byte tail through the tables. Returns `false` and leaves the
+    /// state untouched when the kernel cannot run: the target is not
+    /// x86-64, the CPU lacks PCLMULQDQ or SSE4.1, or `bytes` is shorter
+    /// than 128 bytes.
+    pub fn update_clmul(&mut self, bytes: &[u8]) -> bool {
+        match clmul::fold(self.state, bytes) {
+            Some((state, used)) => {
+                self.state = state;
+                self.update_table(&bytes[used..]);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Fold `bytes` through the portable slice-by-8 tables only.
+    pub fn update_table(&mut self, mut bytes: &[u8]) {
         let mut crc = self.state;
         while bytes.len() >= 8 {
             let lo = crc ^ u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
@@ -429,9 +462,143 @@ impl Crc32 {
         self.state = crc;
     }
 
+    /// Name of the path [`Crc32::update`] takes for inputs of at least 128
+    /// bytes on this CPU: `"pclmulqdq fold-by-4"` or `"slice-by-8"`.
+    pub fn long_input_path() -> &'static str {
+        if clmul::detected() {
+            "pclmulqdq fold-by-4"
+        } else {
+            "slice-by-8"
+        }
+    }
+
     /// Finish and return the checksum.
     pub fn finalize(self) -> u32 {
         !self.state
+    }
+}
+
+/// Carry-less-multiply CRC-32 kernel (Intel, "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ", bit-reflected variant). Four
+/// 128-bit accumulators fold 64 input bytes per iteration, collapse into
+/// one, fold the remaining whole 16-byte blocks, and a Barrett reduction
+/// brings the 64-bit remainder back to the 32-bit CRC register. The
+/// constants are the usual ones for 0xEDB88320 (Linux `crc32-pclmul`,
+/// zlib-ng, crc32fast).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input the kernel takes; below it the tables win.
+    const MIN_LEN: usize = 128;
+
+    // Each K is `reflect32(x^n mod P(x)) << 1` for P(x) = 0x1_04C1_1DB7.
+    /// Fold-by-4 distances, n = 4*128+32 and 4*128-32.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// Fold-by-1 distances, n = 128+32 and 128-32.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// n = 64: folds the 96-bit remainder to 64 bits.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P(x) and the Barrett constant floor(x^64 / P(x)), both reflected
+    /// over 33 bits.
+    const P_X: i64 = 0x1_db71_0641;
+    const U_PRIME: i64 = 0x1_f701_1641;
+
+    /// Whether this CPU has the instructions [`kernel`] enables.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Fold the whole 16-byte blocks of `bytes` into the CRC register
+    /// `crc`, returning the new register and the bytes consumed, or `None`
+    /// when the input is too short or the CPU lacks the instructions.
+    pub(super) fn fold(crc: u32, bytes: &[u8]) -> Option<(u32, usize)> {
+        if bytes.len() < MIN_LEN || !detected() {
+            return None;
+        }
+        // SAFETY: `detected()` has just confirmed PCLMULQDQ and SSE4.1, the
+        // only target features `kernel` enables.
+        Some(unsafe { kernel(crc, bytes) })
+    }
+
+    /// The fold itself, for `bytes` of at least 64 bytes. Calling it from
+    /// code without these target features needs a [`detected`] check.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn kernel(crc: u32, bytes: &[u8]) -> (u32, usize) {
+        let mut x3 = _mm_xor_si128(load(&bytes[..16]), _mm_cvtsi32_si128(crc as i32));
+        let mut x2 = load(&bytes[16..32]);
+        let mut x1 = load(&bytes[32..48]);
+        let mut x0 = load(&bytes[48..64]);
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut quads = bytes[64..].chunks_exact(64);
+        for q in &mut quads {
+            x3 = fold_into(x3, load(&q[..16]), k1k2);
+            x2 = fold_into(x2, load(&q[16..32]), k1k2);
+            x1 = fold_into(x1, load(&q[32..48]), k1k2);
+            x0 = fold_into(x0, load(&q[48..]), k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(x3, x2, k3k4);
+        x = fold_into(x, x1, k3k4);
+        x = fold_into(x, x0, k3k4);
+        let mut singles = quads.remainder().chunks_exact(16);
+        for b in &mut singles {
+            x = fold_into(x, load(b), k3k4);
+        }
+        let used = bytes.len() - singles.remainder().len();
+
+        // 128 -> 96 -> 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett reduction, 64 -> 32 bits; reflected, so the result is the
+        // upper half of the low quadword.
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        (crc, used)
+    }
+
+    /// `acc * x^d mod P(x)` folded onto `data`, where `keys` holds the two
+    /// distance constants for the accumulator's low and high quadwords.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(acc: __m128i, data: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(data, lo), hi)
+    }
+
+    #[inline(always)]
+    fn load(block: &[u8]) -> __m128i {
+        assert_eq!(block.len(), 16);
+        // SAFETY: `block` is 16 readable bytes (checked above), the
+        // unaligned load has no alignment requirement, and SSE2 is part of
+        // the x86-64 baseline, so no feature check is needed.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+}
+
+/// Stand-in for the x86-64 kernel on other architectures: never runs.
+#[cfg(not(target_arch = "x86_64"))]
+mod clmul {
+    pub(super) fn detected() -> bool {
+        false
+    }
+
+    pub(super) fn fold(_crc: u32, _bytes: &[u8]) -> Option<(u32, usize)> {
+        None
     }
 }
 
@@ -1583,6 +1750,33 @@ mod tests {
         // The canonical CRC-32/IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Long inputs reach the carry-less-multiply kernel where the CPU
+        // has it; the expected values are zlib's.
+        assert_eq!(crc32(&vec![0u8; 1 << 20]), 0xA738_EA1C);
+        let ramp: Vec<u8> = (0..1usize << 20).map(|i| i as u8).collect();
+        assert_eq!(crc32(&ramp), 0x04D0_E435);
+        assert_eq!(crc32(&ramp[..256]), 0x2905_8C73);
+    }
+
+    #[test]
+    fn crc_paths_agree() {
+        let data: Vec<u8> = (0..5000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in [
+            0usize, 1, 15, 16, 127, 128, 129, 143, 144, 191, 192, 255, 256, 1000, 5000,
+        ] {
+            let mut table = Crc32::new();
+            table.update_table(&data[..len]);
+            let mut clmul = Crc32::new();
+            let ran = clmul.update_clmul(&data[..len]);
+            let long = Crc32::long_input_path() != "slice-by-8";
+            assert_eq!(ran, long && len >= 128, "kernel gate at len {len}");
+            if ran {
+                assert_eq!(clmul.finalize(), table.finalize(), "len {len}");
+            }
+            assert_eq!(crc32(&data[..len]), table.finalize(), "len {len}");
+        }
     }
 
     #[test]

@@ -261,6 +261,150 @@ proptest! {
     }
 }
 
+/// Bit-at-a-time CRC-32 (IEEE, reflected 0xEDB88320): the reference both
+/// shipped paths must match.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// `len` pseudo-random bytes from a generator seeded by `seed`.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    use rand::{RngCore, SeedableRng};
+    let mut out = vec![0u8; len];
+    rand_chacha::ChaCha8Rng::seed_from_u64(seed).fill_bytes(&mut out);
+    out
+}
+
+/// Whether this CPU can run the carry-less-multiply CRC kernel. Checked
+/// here independently of the runtime, so a broken gate in the kernel's
+/// dispatch cannot fall back to the tables unnoticed.
+fn clmul_cpu() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The dispatching CRC equals the portable slice-by-8 path and the
+    /// bitwise reference for any length, any alignment of the first byte,
+    /// and any incremental split — including splits that land inside a
+    /// 16- or 64-byte fold block of the kernel.
+    #[test]
+    fn crc_paths_match_bitwise_reference(
+        len in 0usize..=70 * 1024,
+        start in 0usize..16,
+        seed: u64,
+        cut_sels in proptest::collection::vec(any::<u64>(), 0..6),
+        fold_cut in 0usize..64,
+    ) {
+        use dacc_runtime::proto::{crc32, Crc32};
+        let buf = noise(start + len, seed);
+        let data = &buf[start..];
+        let want = crc32_bitwise(data);
+
+        prop_assert_eq!(crc32(data), want);
+        let mut table = Crc32::new();
+        table.update_table(data);
+        prop_assert_eq!(table.finalize(), want);
+
+        // The kernel entry itself, where the CPU has the instructions.
+        let mut kernel = Crc32::new();
+        let ran = kernel.update_clmul(data);
+        prop_assert_eq!(ran, clmul_cpu() && len >= 128, "kernel gate, len {}", len);
+        if ran {
+            prop_assert_eq!(kernel.finalize(), want);
+        }
+
+        // Incremental: random cuts plus one inside the first fold block
+        // after a full 128-byte kernel run.
+        let mut cuts: Vec<usize> = cut_sels
+            .iter()
+            .map(|c| (*c % (len as u64 + 1)) as usize)
+            .collect();
+        cuts.push((128 + fold_cut).min(len));
+        cuts.sort_unstable();
+        let mut inc = Crc32::new();
+        let mut inc_kernel = Crc32::new();
+        let mut prev = 0;
+        for cut in cuts.into_iter().chain([len]) {
+            let piece = &data[prev..cut];
+            inc.update(piece);
+            if !inc_kernel.update_clmul(piece) {
+                prop_assert!(!clmul_cpu() || piece.len() < 128);
+                inc_kernel.update_table(piece);
+            }
+            prev = cut;
+        }
+        prop_assert_eq!(inc.finalize(), want);
+        prop_assert_eq!(inc_kernel.finalize(), want);
+    }
+
+    /// `seal_block` -> `open_block` round-trips byte-exact over segment
+    /// chains whose segment lengths are not multiples of 16, with the
+    /// sealed block re-cut so the trailer sometimes straddles segments;
+    /// a single flipped bit anywhere in the sealed block is rejected.
+    #[test]
+    fn seal_open_segment_chains_detect_any_bit_flip(
+        seg_lens in proptest::collection::vec(1usize..3000, 1..8),
+        seed: u64,
+        cut_sels in proptest::collection::vec(any::<u64>(), 0..5),
+        trailer_cut in 0u64..8,
+        flip_sel: u64,
+    ) {
+        use bytes::Bytes;
+        use dacc_runtime::proto::{open_block, seal_block, DecodeError, CRC_TRAILER_BYTES};
+        let segs: Vec<Vec<u8>> = seg_lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| noise(if n % 16 == 0 { n + 1 } else { n }, seed ^ i as u64))
+            .collect();
+        let flat: Vec<u8> = segs.iter().flatten().copied().collect();
+        let body = Payload::chain(segs.into_iter().map(Bytes::from).collect());
+        let sealed = seal_block(&body).to_bytes();
+        prop_assert_eq!(sealed.len(), flat.len() + CRC_TRAILER_BYTES as usize);
+
+        // Re-cut the sealed bytes; values 1..=3 of `trailer_cut` put a cut
+        // inside the 4-byte trailer.
+        let total = sealed.len() as u64;
+        let mut cuts: Vec<usize> = cut_sels.iter().map(|c| (*c % (total + 1)) as usize).collect();
+        if (1..CRC_TRAILER_BYTES).contains(&trailer_cut) {
+            cuts.push(sealed.len() - trailer_cut as usize);
+        }
+        cuts.sort_unstable();
+        let rechain = |bytes: &Bytes| {
+            let mut parts = Vec::new();
+            let mut prev = 0;
+            for &cut in cuts.iter().chain([&bytes.len()]) {
+                parts.push(bytes.slice(prev..cut));
+                prev = cut;
+            }
+            Payload::chain(parts)
+        };
+        let opened = open_block(&rechain(&sealed)).expect("sealed chain must verify");
+        prop_assert_eq!(opened.to_bytes().as_ref(), flat.as_slice());
+
+        let bit = flip_sel % (total * 8);
+        let mut damaged = sealed.to_vec();
+        damaged[(bit / 8) as usize] ^= 1 << (bit % 8);
+        prop_assert_eq!(open_block(&rechain(&Bytes::from(damaged))), Err(DecodeError));
+    }
+}
+
 proptest! {
     // End-to-end transfers spin up a whole cluster per case: fewer cases.
     #![proptest_config(ProptestConfig::with_cases(12))]
