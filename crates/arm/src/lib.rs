@@ -37,7 +37,7 @@ pub mod prelude {
     pub use crate::health::{Health, HealthConfig, HealthMeta};
     pub use crate::proto::{
         arm_tags, ArmError, ArmEvent, ArmRequest, ArmResponse, EvictReason, Eviction,
-        GrantedAccelerator, PoolStats,
+        GrantedAccelerator, PoolStats, DEFAULT_TENANT,
     };
     pub use crate::server::{run_arm_server, ArmServerConfig};
     pub use crate::state::{

@@ -72,12 +72,20 @@ pub fn peek_frame(bytes: &[u8]) -> Option<(u64, &[u8])> {
     Some((u64::from_le_bytes(id.try_into().ok()?), &bytes[9..]))
 }
 
+/// The scheduler tenant that [`ArmRequest::Allocate`] traffic runs under.
+/// Tenant ids are otherwise chosen by `SubmitJob` clients; `SetTenant` on
+/// this one gives untenanted traffic a weight, priority band or quota.
+pub const DEFAULT_TENANT: u32 = u32::MAX;
+
 /// A request to the accelerator resource manager.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ArmRequest {
-    /// Allocate `count` accelerators for `job`. `wait` queues the request
-    /// until enough accelerators free up; otherwise insufficient capacity
-    /// fails immediately.
+    /// Allocate `count` accelerators for `job`: a scheduler job of
+    /// [`DEFAULT_TENANT`] with a gang of `count` and no sharing, so
+    /// `Allocate` waiters are granted in arrival order. `wait` queues the
+    /// request until enough accelerators free up; otherwise insufficient
+    /// capacity fails immediately with `Insufficient`. A `count` the whole
+    /// pool could never hold is `Rejected` either way.
     Allocate {
         /// Requesting job.
         job: JobId,
@@ -226,7 +234,8 @@ pub struct PoolStats {
     pub assigned: u32,
     /// Accelerators marked broken.
     pub broken: u32,
-    /// Allocation requests waiting in the queue.
+    /// Allocation requests (`Allocate` and `SubmitJob`) waiting in the
+    /// scheduler's queue.
     pub queued_requests: u32,
 }
 
@@ -259,10 +268,11 @@ pub enum ArmResponse {
         /// Run a quarantine probe self-test.
         probe: bool,
     },
-    /// A waiting `SubmitJob` was admitted and queued; a `Granted` message
-    /// follows on the same response tag when the scheduler dispatches it.
+    /// A waiting `SubmitJob`, or a framed waiting `Allocate`, was admitted
+    /// and queued; a `Granted` message follows on the same response tag
+    /// when the scheduler dispatches it.
     Queued {
-        /// Jobs queued ahead of this one at admission time.
+        /// Jobs queued ahead of this one (all tenants) at admission time.
         position: u32,
     },
 }
@@ -564,8 +574,8 @@ pub enum ArmError {
     UnknownAccelerator,
     /// The wire message could not be decoded.
     Malformed,
-    /// A `SubmitJob` was refused by admission control (quota or size);
-    /// nothing was queued.
+    /// A `SubmitJob` or `Allocate` was refused by admission control
+    /// (quota or size); nothing was queued.
     Rejected(RejectReason),
     /// The receiving ARM replica is a standby, not the primary. The
     /// client should try the next replica (or wait for a takeover); the

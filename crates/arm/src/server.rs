@@ -1,14 +1,13 @@
 //! The ARM server task: services allocation traffic over the fabric.
 //!
-//! Two allocation paths coexist:
-//!
-//! * the legacy `Allocate` path — strict-FIFO wait queue, no tenancy —
-//!   kept for clients that predate the scheduler, and
-//! * the `SubmitJob` path, where an embedded [`Scheduler`] applies
-//!   admission quotas, weighted fair share, priority bands, gang
-//!   reservations, and oversubscription placement. The scheduler is a
-//!   pure state machine; this server snapshots pool capacity into it and
-//!   applies the placements it returns.
+//! Every allocation goes through one embedded [`Scheduler`], which applies
+//! admission quotas, weighted fair share, priority bands, gang
+//! reservations, and oversubscription placement. `SubmitJob` names its
+//! tenant; `Allocate` is the same job under [`DEFAULT_TENANT`] (exclusive,
+//! all-or-nothing), and because the scheduler only ever considers the
+//! head of each tenant's queue, `Allocate` waiters are served strictly in
+//! arrival order. The scheduler is a pure state machine; this server
+//! snapshots pool capacity into it and applies the placements it returns.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,7 +20,7 @@ use dacc_sim::prelude::*;
 
 use crate::proto::{
     arm_tags, ArmError, ArmEvent, ArmRequest, ArmResponse, EvictReason, Eviction, ReplEntry,
-    ReplMsg,
+    ReplMsg, DEFAULT_TENANT,
 };
 use crate::state::{HealthEvent, JobId, Pool};
 
@@ -87,22 +86,14 @@ pub struct ArmReplica {
     pub position: usize,
 }
 
-struct Waiting {
-    requester: Rank,
-    job: JobId,
-    count: u32,
-    /// Dedupe id of the framed request that queued this entry (0 for
-    /// legacy traffic); the eventual pushed grant echoes it.
-    op_id: u64,
-}
-
-/// A `SubmitJob` admitted to the scheduler and awaiting placement: where
-/// to send the eventual `Granted`, and when it was submitted (for the
-/// grant-latency histogram).
+/// A job (`Allocate` or `SubmitJob`) admitted to the scheduler and
+/// awaiting placement: where to send the eventual `Granted`, and when it
+/// was submitted (for the grant-latency histogram).
 struct PendingSubmit {
     requester: Rank,
     submitted: SimTime,
-    /// Dedupe id of the framed submit (0 for legacy traffic).
+    /// Dedupe id of the framed request (0 for unframed traffic); the
+    /// eventual pushed grant echoes it.
     op_id: u64,
 }
 
@@ -121,7 +112,6 @@ struct ArmCtx {
     tele: dacc_telemetry::Telemetry,
     live: bool,
     pool: Pool,
-    queue: VecDeque<Waiting>,
     contacts: HashMap<JobId, Rank>,
     sched: Scheduler,
     pending: HashMap<JobId, PendingSubmit>,
@@ -131,18 +121,16 @@ struct ArmCtx {
 }
 
 /// Run the accelerator resource manager on `ep` until a `Shutdown` request
-/// arrives. Returns the final pool (for inspection).
+/// arrives. Returns the final pool (for inspection). Failover and health
+/// handling record `arm.failover` and `arm.health` events into `tracer`
+/// (pass [`Tracer::disabled`] to record nothing).
 ///
-/// Waiting allocation requests are served strictly FIFO: releases only ever
-/// satisfy the queue head first, so large requests cannot be starved by a
-/// stream of small ones.
-pub async fn run_arm_server(ep: Endpoint, pool: Pool, config: ArmServerConfig) -> Pool {
-    run_arm_server_traced(ep, pool, config, Tracer::disabled()).await
-}
-
-/// [`run_arm_server`] with a tracer; failover handling records
-/// `arm.failover` events into it.
-pub async fn run_arm_server_traced(
+/// All waiting requests share the scheduler's queue. `Allocate` waiters
+/// form one tenant ([`DEFAULT_TENANT`]) whose queue is served strictly in
+/// order, so a large request cannot be starved by a stream of small
+/// ones, and one that could never fit the pool is rejected at admission
+/// instead of blocking the requests behind it.
+pub async fn run_arm_server(
     ep: Endpoint,
     pool: Pool,
     config: ArmServerConfig,
@@ -177,10 +165,10 @@ impl ArmCtx {
         tracer: Tracer,
         tele: dacc_telemetry::Telemetry,
     ) -> Self {
-        // The scheduler is the policy brain for the SubmitJob path. Legacy
-        // Allocate traffic bypasses it; the scheduler only sees capacity
-        // that is actually free at dispatch time, so the two paths cannot
-        // double-grant.
+        // The scheduler decides every `Allocate` and `SubmitJob` grant. It
+        // only sees capacity that is actually free at dispatch time, so the
+        // replacement grants `ReportFailure` and evictions make outside it
+        // cannot double-grant.
         let sched = Scheduler::new(pool.len() as u32);
         ArmCtx {
             ep,
@@ -189,7 +177,6 @@ impl ArmCtx {
             tele,
             live: true,
             pool,
-            queue: VecDeque::new(),
             // Where each job's front-end can be reached for eviction
             // notices (learned from the job's own requests).
             contacts: HashMap::new(),
@@ -227,13 +214,9 @@ impl ArmCtx {
             // retry again would enqueue a duplicate. The grant will be
             // pushed when capacity frees; drop the retry.
             let in_flight = self
-                .queue
-                .iter()
-                .any(|w| w.requester == requester && w.op_id == op_id)
-                || self
-                    .pending
-                    .values()
-                    .any(|p| p.requester == requester && p.op_id == op_id);
+                .pending
+                .values()
+                .any(|p| p.requester == requester && p.op_id == op_id);
             if in_flight {
                 self.tele.count("arm.ha.dedupe", 1);
                 // Re-ack instead of staying silent so a retrying waiter
@@ -273,7 +256,6 @@ impl ArmCtx {
         if !swept.is_empty() {
             account(&mut self.sched, &swept);
             self.act_on(swept).await;
-            self.drain_queue(now).await;
             self.sched_dispatch(now).await;
         }
 
@@ -300,38 +282,16 @@ impl ArmCtx {
         let _req_span = span_tele.span(&handle, kind, || format!("{kind} from {requester}"));
         match req {
             ArmRequest::Allocate { job, count, wait } => {
-                self.contacts.insert(job, requester);
-                // FIFO fairness: if anyone is already queued, new waiting
-                // requests go behind them even if satisfiable now.
-                let must_queue = wait && !self.queue.is_empty();
-                if must_queue {
-                    self.queue.push_back(Waiting {
-                        requester,
-                        job,
-                        count,
-                        op_id,
-                    });
-                    self.ack_queued(requester, op_id).await;
-                } else {
-                    let near = Some(self.ep.fabric().node_of(requester));
-                    match self.pool.try_allocate_near(job, count, Some(now), near) {
-                        Ok(grants) => {
-                            self.reply(requester, op_id, ArmResponse::Granted(grants))
-                                .await
-                        }
-                        Err(e @ ArmError::Insufficient { .. }) if wait => {
-                            let _ = e;
-                            self.queue.push_back(Waiting {
-                                requester,
-                                job,
-                                count,
-                                op_id,
-                            });
-                            self.ack_queued(requester, op_id).await;
-                        }
-                        Err(e) => self.reply(requester, op_id, ArmResponse::Error(e)).await,
-                    }
-                }
+                let req = JobReq {
+                    job: job.0,
+                    tenant: TenantId(DEFAULT_TENANT),
+                    gang: count,
+                    share_ok: false,
+                };
+                // Unframed `Allocate` waiters get no `Queued` ack: the
+                // classic wire protocol stays byte-identical.
+                self.submit(requester, op_id, req, wait, op_id != 0, now)
+                    .await;
             }
             ArmRequest::SubmitJob {
                 job,
@@ -340,54 +300,13 @@ impl ArmCtx {
                 share_ok,
                 wait,
             } => {
-                self.contacts.insert(job, requester);
-                match self.sched.submit(JobReq {
+                let req = JobReq {
                     job: job.0,
                     tenant: TenantId(tenant),
                     gang,
                     share_ok,
-                }) {
-                    Admitted::Rejected(reason) => {
-                        self.tele.count("arm.sched.reject", 1);
-                        self.reply(
-                            requester,
-                            op_id,
-                            ArmResponse::Error(ArmError::Rejected(reason)),
-                        )
-                        .await;
-                    }
-                    Admitted::Queued { position } => {
-                        self.pending.insert(
-                            job,
-                            PendingSubmit {
-                                requester,
-                                submitted: now,
-                                op_id,
-                            },
-                        );
-                        self.sched_dispatch(now).await;
-                        if self.pending.contains_key(&job) {
-                            if wait {
-                                // Granted comes later, once capacity frees.
-                                self.reply(requester, op_id, ArmResponse::Queued { position })
-                                    .await;
-                            } else {
-                                self.sched.cancel(job.0);
-                                self.pending.remove(&job);
-                                let free = self.pool.free_count();
-                                self.reply(
-                                    requester,
-                                    op_id,
-                                    ArmResponse::Error(ArmError::Insufficient {
-                                        requested: gang,
-                                        free,
-                                    }),
-                                )
-                                .await;
-                            }
-                        }
-                    }
-                }
+                };
+                self.submit(requester, op_id, req, wait, true, now).await;
             }
             ArmRequest::SetTenant {
                 tenant,
@@ -419,7 +338,6 @@ impl ArmCtx {
                     Err(e) => ArmResponse::Error(e),
                 };
                 self.reply(requester, op_id, resp).await;
-                self.drain_queue(now).await;
                 self.sched_dispatch(now).await;
             }
             ArmRequest::ReleaseJob { job } => {
@@ -432,7 +350,6 @@ impl ArmCtx {
                 self.act_on(events).await;
                 self.reply(requester, op_id, ArmResponse::Released { released })
                     .await;
-                self.drain_queue(now).await;
                 self.sched_dispatch(now).await;
             }
             ArmRequest::MarkBroken { accel } => {
@@ -444,7 +361,7 @@ impl ArmCtx {
             }
             ArmRequest::Query => {
                 let mut stats = self.pool.stats();
-                stats.queued_requests = self.queue.len() as u32 + self.sched.queue_depth();
+                stats.queued_requests = self.sched.queue_depth();
                 self.reply(requester, op_id, ArmResponse::Stats(stats))
                     .await;
             }
@@ -455,7 +372,6 @@ impl ArmCtx {
                 };
                 self.reply(requester, op_id, resp).await;
                 // A repaired accelerator may satisfy a queued request.
-                self.drain_queue(now).await;
                 self.sched_dispatch(now).await;
             }
             ArmRequest::ReportFailure { job, accel } => {
@@ -504,7 +420,6 @@ impl ArmCtx {
                 self.reply(requester, op_id, resp).await;
                 // A fence ack may have made a reclaimed accelerator
                 // grantable again.
-                self.drain_queue(now).await;
                 self.sched_dispatch(now).await;
             }
             ArmRequest::HeartbeatQ {
@@ -525,7 +440,6 @@ impl ArmCtx {
                     Err(e) => ArmResponse::Error(e),
                 };
                 self.reply(requester, op_id, resp).await;
-                self.drain_queue(now).await;
                 self.sched_dispatch(now).await;
             }
             ArmRequest::ProbeResult { accel, ok } => {
@@ -551,7 +465,6 @@ impl ArmCtx {
                     Err(e) => ArmResponse::Error(e),
                 };
                 self.reply(requester, op_id, resp).await;
-                self.drain_queue(now).await;
                 self.sched_dispatch(now).await;
             }
             ArmRequest::Drain { accel } => {
@@ -586,10 +499,8 @@ impl ArmCtx {
     /// telemetry scrape between messages always sees up-to-date values.
     fn publish_gauges(&self) {
         let s = self.pool.stats();
-        self.tele.gauge(
-            "arm.queue_depth",
-            f64::from(self.sched.queue_depth() + self.queue.len() as u32),
-        );
+        self.tele
+            .gauge("arm.queue_depth", f64::from(self.sched.queue_depth()));
         let denom = s.free + s.assigned;
         self.tele.gauge(
             "arm.accel_utilization",
@@ -619,20 +530,6 @@ impl ArmCtx {
         self.tele.count("wire.encode_bytes", bytes.len() as u64);
         self.ep
             .send(to, arm_tags::RESPONSE, Payload::from_bytes(bytes))
-            .await;
-    }
-
-    /// Ack a framed waiter that its request is parked server-side.
-    /// Legacy unframed waiters (`op_id == 0`) get nothing — the classic
-    /// wire protocol stays byte-identical — while framed waiters use the
-    /// ack (and its dedupe-cache replay on retries) as a liveness signal
-    /// during the open-ended wait for capacity.
-    async fn ack_queued(&mut self, requester: Rank, op_id: u64) {
-        if op_id == 0 {
-            return;
-        }
-        let position = self.queue.len().saturating_sub(1) as u32;
-        self.reply(requester, op_id, ArmResponse::Queued { position })
             .await;
     }
 
@@ -723,7 +620,8 @@ impl ArmCtx {
 
 /// Reconcile the scheduler's holdings with health-plane outcomes: an
 /// eviction without a replacement shrinks the job's footprint by one (the
-/// replacement case is net zero). Unknown (legacy-path) jobs are no-ops.
+/// replacement case is net zero). Jobs the scheduler no longer tracks are
+/// no-ops.
 fn account(sched: &mut Scheduler, events: &[HealthEvent]) {
     for ev in events {
         if let HealthEvent::Evicted {
@@ -738,6 +636,60 @@ fn account(sched: &mut Scheduler, events: &[HealthEvent]) {
 }
 
 impl ArmCtx {
+    /// Admit one job to the scheduler and try to start it at once. A job
+    /// the scheduler refuses is answered with the reason; one that started
+    /// is answered by [`ArmCtx::sched_dispatch`]. One still queued either
+    /// waits (`wait`: acked `Queued` when `ack`, granted once capacity
+    /// frees) or is withdrawn and answered `Insufficient`.
+    async fn submit(
+        &mut self,
+        requester: Rank,
+        op_id: u64,
+        req: JobReq,
+        wait: bool,
+        ack: bool,
+        now: SimTime,
+    ) {
+        let job = JobId(req.job);
+        self.contacts.insert(job, requester);
+        let position = match self.sched.submit(req) {
+            Admitted::Queued { position } => position,
+            Admitted::Rejected(reason) => {
+                self.tele.count("arm.sched.reject", 1);
+                let resp = ArmResponse::Error(ArmError::Rejected(reason));
+                self.reply(requester, op_id, resp).await;
+                return;
+            }
+        };
+        let ps = PendingSubmit {
+            requester,
+            submitted: now,
+            op_id,
+        };
+        self.pending.insert(job, ps);
+        self.sched_dispatch(now).await;
+        if !self.pending.contains_key(&job) {
+            return;
+        }
+        if wait {
+            // Framed waiters use the ack (and its dedupe-cache replay on
+            // retries) as a liveness signal during the open-ended wait.
+            if ack {
+                self.reply(requester, op_id, ArmResponse::Queued { position })
+                    .await;
+            }
+        } else {
+            self.sched.cancel(req.job);
+            self.pending.remove(&job);
+            let free = self.pool.free_count();
+            let resp = ArmResponse::Error(ArmError::Insufficient {
+                requested: req.gang,
+                free,
+            });
+            self.reply(requester, op_id, resp).await;
+        }
+    }
+
     /// Ask the scheduler what to start given the pool's current free
     /// capacity and apply its placements: exclusive gangs through
     /// `try_allocate_near` (opening a share domain when the job
@@ -797,23 +749,6 @@ impl ArmCtx {
             }
         }
     }
-
-    async fn drain_queue(&mut self, now: SimTime) {
-        while let Some(head) = self.queue.front() {
-            let near = Some(self.ep.fabric().node_of(head.requester));
-            match self
-                .pool
-                .try_allocate_near(head.job, head.count, Some(now), near)
-            {
-                Ok(grants) => {
-                    let head = self.queue.pop_front().unwrap();
-                    self.reply(head.requester, head.op_id, ArmResponse::Granted(grants))
-                        .await;
-                }
-                Err(_) => break, // strict FIFO: head blocks the rest
-            }
-        }
-    }
 }
 
 std::thread_local! {
@@ -824,11 +759,11 @@ std::thread_local! {
 }
 
 /// Version tag of the full-server snapshot wire format.
-const SERVER_SNAPSHOT_VERSION: u8 = 1;
+const SERVER_SNAPSHOT_VERSION: u8 = 2;
 
 impl ArmCtx {
-    /// Serialize the complete replica state — pool, scheduler, legacy wait
-    /// queue, contacts, pending submits, and the dedupe cache — into one
+    /// Serialize the complete replica state — pool, scheduler, contacts,
+    /// pending jobs, and the dedupe cache — into one
     /// deterministic byte string a standby can install verbatim.
     fn snapshot_state(&self) -> Vec<u8> {
         fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -845,13 +780,6 @@ impl ArmCtx {
         let sched = self.sched.snapshot_bytes();
         put_u32(&mut out, sched.len() as u32);
         out.extend_from_slice(&sched);
-        put_u32(&mut out, self.queue.len() as u32);
-        for w in &self.queue {
-            put_u32(&mut out, w.requester.0 as u32);
-            put_u64(&mut out, w.job.0);
-            put_u32(&mut out, w.count);
-            put_u64(&mut out, w.op_id);
-        }
         let mut contacts: Vec<_> = self.contacts.iter().collect();
         contacts.sort_by_key(|(job, _)| job.0);
         put_u32(&mut out, contacts.len() as u32);
@@ -894,16 +822,6 @@ impl ArmCtx {
         let pool_bytes = r.bytes(n)?;
         let n = r.u32()? as usize;
         let sched_bytes = r.bytes(n)?;
-        let n_queue = r.u32()?;
-        let mut queue = VecDeque::with_capacity((n_queue as usize).min(bytes.len() / 24 + 1));
-        for _ in 0..n_queue {
-            queue.push_back(Waiting {
-                requester: Rank(r.u32()? as usize),
-                job: JobId(r.u64()?),
-                count: r.u32()?,
-                op_id: r.u64()?,
-            });
-        }
         let n_contacts = r.u32()?;
         let mut contacts = HashMap::new();
         for _ in 0..n_contacts {
@@ -938,7 +856,6 @@ impl ArmCtx {
         // still leaves `self` untouched.
         self.pool.load_state(pool_bytes)?;
         self.sched = sched;
-        self.queue = queue;
         self.contacts = contacts;
         self.pending = pending;
         self.completed = completed;
@@ -1368,7 +1285,7 @@ mod tests {
         let ranks: Vec<Rank> = (0..n_ac).map(|i| Rank(1 + n_cn + i)).collect();
         let pool = Pool::new(inventory(&nodes, &ranks));
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool, ArmServerConfig::default(), Tracer::disabled()).await;
         });
     }
 
@@ -1481,7 +1398,7 @@ mod tests {
             let pool = Pool::new(inventory(&nodes, &ranks));
             let tracer = tracer.clone();
             sim.spawn("arm", async move {
-                run_arm_server_traced(arm_ep, pool, ArmServerConfig::default(), tracer).await;
+                run_arm_server(arm_ep, pool, ArmServerConfig::default(), tracer).await;
             });
         }
         let cn = cns.remove(0);
@@ -1550,6 +1467,131 @@ mod tests {
         sim.run();
         assert_eq!(*order.borrow(), vec![2, 3]);
     }
+
+    #[test]
+    fn oversized_waiter_is_rejected_instead_of_blocking_the_queue() {
+        // Pool of 2, held whole by job 1. Job 2 waits for 3 accelerators,
+        // which no release can ever provide; job 3 waits for 1 behind it.
+        let (mut sim, _fabric, mut cns, arm_ep) = setup(3, 2);
+        spawn_arm(&sim, arm_ep, 2, 3);
+        let (cn1, cn2, cn3) = (cns.remove(0), cns.remove(0), cns.remove(0));
+        let h = sim.handle();
+        {
+            let h = h.clone();
+            sim.spawn("job1", async move {
+                let client = ArmClient::new(cn1, Rank(0));
+                client.allocate(JobId(1), 2).await.unwrap();
+                h.delay(SimDuration::from_millis(1)).await;
+                client.release_job(JobId(1)).await;
+            });
+        }
+        let oversized = {
+            let h = h.clone();
+            sim.spawn("job2", async move {
+                h.delay(SimDuration::from_micros(10)).await;
+                ArmClient::new(cn2, Rank(0))
+                    .allocate_waiting(JobId(2), 3)
+                    .await
+            })
+        };
+        let small = sim.spawn("job3", async move {
+            h.delay(SimDuration::from_micros(20)).await;
+            let client = ArmClient::new(cn3, Rank(0));
+            let grants = client.allocate_waiting(JobId(3), 1).await.unwrap();
+            client.release_job(JobId(3)).await;
+            client.shutdown().await;
+            grants.len()
+        });
+        sim.run();
+        assert_eq!(
+            oversized.try_take(),
+            Some(Err(ArmError::Rejected(
+                crate::proto::RejectReason::TooLarge {
+                    requested: 3,
+                    pool: 2
+                }
+            )))
+        );
+        assert_eq!(small.try_take(), Some(1), "the waiter behind was wedged");
+        // The ARM shut down: only the idle MPI progress engines remain.
+        assert!(
+            sim.pending_task_names()
+                .iter()
+                .all(|n| *n == "mpi.dispatcher"),
+            "unexpected pending tasks: {:?}",
+            sim.pending_task_names()
+        );
+    }
+
+    #[test]
+    fn allocate_and_submit_waiters_share_one_queue() {
+        // One accelerator held by job 1; an `Allocate` waiter (job 2) and a
+        // `SubmitJob` waiter (job 3) queue behind it.
+        let (mut sim, fabric, mut cns, arm_ep) = setup(4, 1);
+        let tele = dacc_telemetry::Telemetry::new(64);
+        fabric.set_telemetry(tele.clone());
+        spawn_arm(&sim, arm_ep, 1, 4);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let h = sim.handle();
+        {
+            let (cn, h) = (cns.remove(0), h.clone());
+            sim.spawn("job1", async move {
+                let client = ArmClient::new(cn, Rank(0));
+                client.allocate(JobId(1), 1).await.unwrap();
+                h.delay(SimDuration::from_millis(1)).await;
+                client.release_job(JobId(1)).await;
+            });
+        }
+        for (i, job) in [(0u64, 2u64), (1, 3)] {
+            let (cn, h, log) = (cns.remove(0), h.clone(), Rc::clone(&log));
+            sim.spawn("waiter", async move {
+                h.delay(SimDuration::from_micros(10 * (i + 1))).await;
+                let client = ArmClient::new(cn, Rank(0));
+                let grants = if job == 2 {
+                    client.allocate_waiting(JobId(job), 1).await
+                } else {
+                    client.submit_job(JobId(job), 5, 1, false, true).await
+                };
+                assert_eq!(grants.unwrap().len(), 1);
+                log.borrow_mut().push((job, "granted", h.now()));
+                h.delay(SimDuration::from_micros(100)).await;
+                log.borrow_mut().push((job, "releasing", h.now()));
+                client.release_job(JobId(job)).await;
+                if job == 2 {
+                    client.shutdown().await;
+                }
+            });
+        }
+        let queued = {
+            let (cn, h) = (cns.remove(0), h.clone());
+            sim.spawn("query", async move {
+                h.delay(SimDuration::from_micros(500)).await;
+                ArmClient::new(cn, Rank(0)).query().await.queued_requests
+            })
+        };
+        sim.run();
+        assert_eq!(queued.try_take(), Some(2), "both waiters in one queue");
+        let log = log.borrow();
+        let events: Vec<(u64, &str)> = log.iter().map(|&(j, e, _)| (j, e)).collect();
+        // Fair-share order: job 1 already spent the `Allocate` tenant's
+        // share, so tenant 5 goes first although job 2 arrived earlier.
+        // One holder at a time: job 2 is granted only after job 3 released.
+        assert_eq!(
+            events,
+            [
+                (3, "granted"),
+                (3, "releasing"),
+                (2, "granted"),
+                (2, "releasing")
+            ]
+        );
+        assert!(log[0].2 >= SimTime::ZERO + SimDuration::from_millis(1));
+        if cfg!(feature = "telemetry") {
+            // Every grant — two `Allocate`s and one `SubmitJob` — went
+            // through the scheduler.
+            assert_eq!(tele.counter("arm.sched.grant"), 3);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1590,7 +1632,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(1, 4);
         let pool = make_pool(4, 1, false);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool, ArmServerConfig::default(), Tracer::disabled()).await;
         });
         let cn = cns.remove(0);
         let out = sim.spawn("cn", async move {
@@ -1628,7 +1670,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(2, 2);
         let pool = make_pool(2, 2, false);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool, ArmServerConfig::default(), Tracer::disabled()).await;
         });
         let cn_a = cns.remove(0);
         let cn_b = cns.remove(0);
@@ -1675,7 +1717,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(1, 1);
         let pool = make_pool(1, 1, false);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool, ArmServerConfig::default(), Tracer::disabled()).await;
         });
         let cn = cns.remove(0);
         let out = sim.spawn("cn", async move {
@@ -1711,7 +1753,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(1, 1);
         let pool = make_pool(1, 1, true);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool, ArmServerConfig::default(), Tracer::disabled()).await;
         });
         let cn = cns.remove(0);
         let out = sim.spawn("cn", async move {
@@ -1764,7 +1806,7 @@ mod repair_tests {
         let cn = fabric.add_endpoint(NodeId(1));
         let pool = Pool::new(inventory(&[NodeId(2)], &[Rank(2)]));
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool, ArmServerConfig::default(), Tracer::disabled()).await;
         });
         let out = sim.spawn("cn", async move {
             let client = ArmClient::new(cn, Rank(0));

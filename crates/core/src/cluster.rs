@@ -9,9 +9,9 @@ use std::sync::Arc;
 
 use dacc_arm::client::{ArmClient, ArmRetryConfig};
 use dacc_arm::health::HealthConfig;
-use dacc_arm::proto::{arm_tags, ArmError, ArmRequest, ArmResponse};
+use dacc_arm::proto::{arm_tags, ArmError, ArmRequest, ArmResponse, GrantedAccelerator};
 use dacc_arm::server::{
-    run_arm_server_ha, run_arm_server_traced, ArmHaConfig, ArmReplica, ArmServerConfig,
+    run_arm_server, run_arm_server_ha, ArmHaConfig, ArmReplica, ArmServerConfig,
 };
 use dacc_arm::state::{inventory, AcceleratorId, AllocPolicy, JobId, Pool, ShareConfig};
 use dacc_fabric::mpi::{Endpoint, Fabric, Rank};
@@ -314,7 +314,7 @@ pub fn build_cluster_chaos(
         None => {
             let pool = make_pool();
             h.spawn("arm", async move {
-                run_arm_server_traced(arm_ep, pool, ArmServerConfig::default(), arm_tracer).await
+                run_arm_server(arm_ep, pool, ArmServerConfig::default(), arm_tracer).await
             })
         }
         Some(ha_spec) => {
@@ -547,34 +547,12 @@ impl AcProcess {
     /// Static/dynamic allocation: get `n` exclusive accelerators, failing
     /// fast on shortage.
     pub async fn acquire(&self, n: u32) -> Result<Vec<RemoteAccelerator>, AcError> {
-        let grants = self
-            .arm
-            .allocate(self.job, n)
-            .await
-            .map_err(|e| AcError::Local(e.to_string()))?;
-        Ok(grants
-            .into_iter()
-            .map(|g| {
-                RemoteAccelerator::new(self.ep.clone(), g.daemon_rank, self.config)
-                    .with_epoch(g.epoch)
-            })
-            .collect())
+        self.remote(self.arm.allocate(self.job, n).await)
     }
 
     /// Dynamic allocation that queues until accelerators free up.
     pub async fn acquire_waiting(&self, n: u32) -> Result<Vec<RemoteAccelerator>, AcError> {
-        let grants = self
-            .arm
-            .allocate_waiting(self.job, n)
-            .await
-            .map_err(|e| AcError::Local(e.to_string()))?;
-        Ok(grants
-            .into_iter()
-            .map(|g| {
-                RemoteAccelerator::new(self.ep.clone(), g.daemon_rank, self.config)
-                    .with_epoch(g.epoch)
-            })
-            .collect())
+        self.remote(self.arm.allocate_waiting(self.job, n).await)
     }
 
     /// Tenant-aware allocation through the ARM's multi-tenant scheduler:
@@ -591,11 +569,20 @@ impl AcProcess {
         share_ok: bool,
         wait: bool,
     ) -> Result<Vec<RemoteAccelerator>, AcError> {
-        let grants = self
-            .arm
-            .submit_job(self.job, tenant, gang, share_ok, wait)
-            .await
-            .map_err(|e| AcError::Local(e.to_string()))?;
+        self.remote(
+            self.arm
+                .submit_job(self.job, tenant, gang, share_ok, wait)
+                .await,
+        )
+    }
+
+    /// Turn an ARM answer into remote-accelerator handles, each carrying
+    /// its grant's epoch.
+    fn remote(
+        &self,
+        grants: Result<Vec<GrantedAccelerator>, ArmError>,
+    ) -> Result<Vec<RemoteAccelerator>, AcError> {
+        let grants = grants.map_err(|e| AcError::Local(e.to_string()))?;
         Ok(grants
             .into_iter()
             .map(|g| {

@@ -310,7 +310,7 @@ pub async fn run_daemon_traced(
     config: DaemonConfig,
     tracer: Tracer,
 ) -> DaemonStats {
-    run_daemon_chaos(ep, gpu, config, tracer, None).await
+    run_daemon_health(ep, gpu, config, tracer, None, DaemonHealth::new()).await
 }
 
 /// True for operations whose bulk-data phase must be re-executed on a
@@ -328,23 +328,14 @@ fn has_data_phase(req: &Request) -> bool {
     )
 }
 
-/// [`run_daemon_traced`] with an optional fault hook, consulted once per
-/// request: `Crash` makes the daemon vanish mid-service (no response, no
-/// tear-down), `Hang` stalls it. Framed requests (see
-/// [`crate::proto::RequestFrame`]) are deduplicated against the last
-/// completed operation per front-end so a retried request whose response
-/// was lost is not executed twice.
-pub async fn run_daemon_chaos(
-    ep: Endpoint,
-    gpu: VirtualGpu,
-    config: DaemonConfig,
-    tracer: Tracer,
-    fault: Option<Arc<dyn FaultHook>>,
-) -> DaemonStats {
-    run_daemon_health(ep, gpu, config, tracer, fault, DaemonHealth::new()).await
-}
-
-/// [`run_daemon_chaos`] with a shared [`DaemonHealth`] handle: the fence
+/// [`run_daemon_traced`] with an optional fault hook and a shared
+/// [`DaemonHealth`] handle.
+///
+/// The fault hook is consulted once per request: `Crash` makes the daemon
+/// vanish mid-service (no response, no tear-down), `Hang` stalls it.
+/// Framed requests (see [`crate::proto::RequestFrame`]) are deduplicated
+/// against the last completed operation per front-end so a retried
+/// request whose response was lost is not executed twice. The fence
 /// adopted by the daemon's heartbeat agent rejects stale-epoch traffic
 /// ([`Status::StaleEpoch`]) and resets sessions, and executed operations
 /// are counted for implicit lease renewal.

@@ -72,7 +72,7 @@ pub mod prelude {
         build_cluster, build_cluster_chaos, AcProcess, ArmHaSpec, Cluster, ClusterSpec,
     };
     pub use crate::daemon::{
-        run_daemon, run_daemon_chaos, run_daemon_traced, AdmissionConfig, DaemonConfig, DaemonStats,
+        run_daemon, run_daemon_traced, AdmissionConfig, DaemonConfig, DaemonStats,
     };
     pub use crate::failover::{CheckpointPolicy, FailoverSession};
     pub use crate::opencl::{ClBuffer, ClCommandQueue, ClContext, ClKernel};

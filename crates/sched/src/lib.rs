@@ -2,10 +2,13 @@
 //!
 //! The ARM's original allocator was a free list with a strict-FIFO wait
 //! queue: one grant at a time, no tenancy, no sharing. This crate is the
-//! policy brain that replaces it, as a *pure state machine*: the ARM
-//! server owns the [`Pool`](../dacc_arm/state/struct.Pool.html) and the
-//! fabric; the scheduler only decides **which queued job starts next and
-//! how it is placed**. Keeping it pure (no clock, no I/O — callers pass a
+//! policy brain that replaced it, as a *pure state machine*, and it decides
+//! every ARM grant: `SubmitJob` names a tenant, and `Allocate` runs as one
+//! tenant of its own whose queue, like every tenant's, is served in
+//! order. The ARM server owns the
+//! [`Pool`](../dacc_arm/state/struct.Pool.html) and the fabric; the
+//! scheduler only decides **which queued job starts next and how it is
+//! placed**. Keeping it pure (no clock, no I/O — callers pass a
 //! capacity snapshot in and apply placements out) makes every policy
 //! directly unit- and property-testable.
 //!
@@ -463,13 +466,16 @@ impl Scheduler {
                 ts.held += head.gang;
                 self.queued_total -= 1;
                 self.vnow = self.vnow.max(head.vstart);
-                self.running.insert(
-                    head.job,
-                    Running {
+                // A job may be granted again while it still holds earlier
+                // grants (a second `Allocate` for the same job): its
+                // holdings add up, so `finished` returns all of them.
+                self.running
+                    .entry(head.job)
+                    .or_insert(Running {
                         tenant: tid,
-                        held: head.gang,
-                    },
-                );
+                        held: 0,
+                    })
+                    .held += head.gang;
                 let kind = if fits_exclusive {
                     free -= head.gang;
                     PlaceKind::Exclusive
@@ -836,6 +842,34 @@ mod tests {
         s.submit(req(90, 9, 1));
         let order = drain_order(&mut s, 1, 8);
         assert_eq!(order[0], 90, "high band must dequeue first: {order:?}");
+    }
+
+    #[test]
+    fn regrant_to_a_running_job_adds_up() {
+        // A job granted twice (two `Allocate`s under one job id) returns
+        // both grants' accelerators when it finishes.
+        let mut s = Scheduler::new(4);
+        s.set_tenant(
+            TenantId(1),
+            TenantConfig {
+                max_accels: 3,
+                ..TenantConfig::default()
+            },
+        );
+        let cap = Capacity {
+            free: 4,
+            share_slots: 0,
+        };
+        s.submit(req(7, 1, 1));
+        assert_eq!(s.dispatch(cap).len(), 1);
+        s.submit(req(7, 1, 2));
+        assert_eq!(s.dispatch(cap).len(), 1);
+        assert_eq!(s.tenant_load(TenantId(1)), (3, 0));
+        s.finished(7);
+        assert_eq!(s.tenant_load(TenantId(1)), (0, 0));
+        // The whole quota is usable again.
+        s.submit(req(8, 1, 3));
+        assert_eq!(s.dispatch(cap).len(), 1);
     }
 
     #[test]

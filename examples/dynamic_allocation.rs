@@ -53,7 +53,7 @@ fn main() {
     // Job 2: arrives while the pool is empty; waits in the ARM queue, then
     // runs, then reports one accelerator broken.
     let ep2 = eps[1].clone();
-    {
+    let job2 = {
         let h = h.clone();
         sim.spawn("job2", async move {
             h.delay(SimDuration::from_millis(1)).await;
@@ -89,9 +89,11 @@ fn main() {
                 let _ = a.shutdown().await;
             }
             proc.arm().shutdown().await;
-        });
-    }
+        })
+    };
 
     sim.run();
+    job2.try_take()
+        .expect("job2 never finished: its waiting allocation was not granted");
     println!("done");
 }
